@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from repro.accelerator import build_setting
+from repro.core.evalconfig import EvalConfig
 from repro.core.evaluator import MappingEvaluator
 from repro.workloads import TaskType, build_task_workload
 
@@ -48,8 +49,8 @@ def test_batch_backend_at_least_3x_faster(report_lines):
         seed=0,
         num_sub_accelerators=platform.num_sub_accelerators,
     )[0]
-    scalar = MappingEvaluator(group, platform, backend="scalar")
-    batch = MappingEvaluator(group, platform, backend="batch")
+    scalar = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="scalar"))
+    batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
     population = scalar.codec.random_population(POPULATION_SIZE, rng=0)
 
     # Warm up both paths (imports, allocator state) outside the timed region,
@@ -65,7 +66,7 @@ def test_batch_backend_at_least_3x_faster(report_lines):
     # simulation cost being measured.
     def run_batch():
         MappingEvaluator(
-            group, platform, analysis_table=batch.table, backend="batch"
+            group, platform, analysis_table=batch.table, eval_config=EvalConfig(backend="batch")
         ).evaluate_population(population, count_samples=False)
 
     batch_seconds = _best_of(run_batch)

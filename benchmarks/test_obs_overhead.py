@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from repro.accelerator import build_setting
+from repro.core.evalconfig import EvalConfig
 from repro.core.evaluator import MappingEvaluator
 from repro.obs import configure_tracing, get_tracer
 from repro.workloads import TaskType, build_task_workload
@@ -42,7 +43,7 @@ def test_tracing_overhead_under_five_percent(report_lines, tmp_path):
         seed=0,
         num_sub_accelerators=platform.num_sub_accelerators,
     )[0]
-    batch = MappingEvaluator(group, platform, backend="batch")
+    batch = MappingEvaluator(group, platform, eval_config=EvalConfig(backend="batch"))
     rng = np.random.default_rng(0)
     populations = [
         batch.codec.random_population(POPULATION_SIZE, rng=rng) for _ in range(SWEEPS)
@@ -52,7 +53,7 @@ def test_tracing_overhead_under_five_percent(report_lines, tmp_path):
         # Fresh evaluator per run so memoization cannot hide the cost; the
         # shared analysis table keeps setup out of the timed region.
         evaluator = MappingEvaluator(
-            group, platform, analysis_table=batch.table, backend="batch"
+            group, platform, analysis_table=batch.table, eval_config=EvalConfig(backend="batch")
         )
         for population in populations:
             evaluator.evaluate_population(population, count_samples=False)

@@ -20,7 +20,7 @@ Run a whole campaign of scenarios as one resumable, deduplicated stream of
 search cells, with per-cell results appended to a JSONL store::
 
     repro-magma campaign fig8 fig12 --out campaign.jsonl
-    repro-magma campaign --grid grid.json --jobs 4 --out campaign.jsonl
+    repro-magma campaign --grid grid.json --eval-backend parallel --eval-workers 4 --out campaign.jsonl
     repro-magma campaign fig8 fig12 --out campaign.jsonl --resume
 
 Fitness evaluation defaults to the vectorized ``batch`` backend; pass
@@ -236,14 +236,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if not scenarios:
         raise ExperimentError("campaign needs scenario names and/or --grid")
 
-    eval_config = _eval_config(args)
-    if args.jobs is not None and args.jobs > 1 and eval_config.backend == DEFAULT_EVAL_BACKEND:
-        eval_config = EvalConfig(backend="parallel", workers=args.eval_workers or args.jobs)
-
     engine = CampaignRunner(
         scale=args.scale,
         warm_store=_warm_library(args),
-        eval_config=eval_config,
+        eval_config=_eval_config(args),
     )
     report = engine.run(
         scenarios,
@@ -645,10 +641,6 @@ def _populate_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
         "--grid", default=None, metavar="FILE",
         help="JSON file describing an ad-hoc grid scenario "
         "(settings/bandwidths/tasks/methods/objectives/seeds/group_size/budget)",
-    )
-    campaign.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="shorthand for '--eval-backend parallel --eval-workers N' (when N > 1)",
     )
     campaign.add_argument(
         "--resume", action="store_true",

@@ -11,14 +11,14 @@ convergence history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.accelerator import AcceleratorPlatform
 from repro.core.analyzer import AnalysisTableCache, JobAnalysisTable, JobAnalyzer
 from repro.core.encoding import Mapping
-from repro.core.evalconfig import EvalConfig, resolve_eval_config
+from repro.core.evalconfig import EvalConfig, checked_eval_config
 from repro.core.evaluator import MappingEvaluator
 from repro.core.objectives import Objective
 from repro.core.schedule import Schedule
@@ -108,12 +108,7 @@ class M3E:
         The evaluation-engine configuration
         (:class:`~repro.core.evalconfig.EvalConfig`): backend, local worker
         count, remote fleet, token — one validated object handed to every
-        evaluator this explorer builds.
-    eval_backend / eval_workers / eval_hosts / rpc_token:
-        Deprecated spelling of ``eval_config`` (one keyword per field).
-        They build the identical config — results stay bit-identical — but
-        emit :class:`DeprecationWarning`; they cannot be mixed with
-        ``eval_config``.
+        evaluator this explorer builds.  ``None`` means the default config.
     table_cache:
         Job-analysis-table cache to consult before building a table.  By
         default every explorer gets a private cache; the campaign engine
@@ -137,50 +132,20 @@ class M3E:
         platform: AcceleratorPlatform,
         objective: Objective | str = "throughput",
         sampling_budget: int = DEFAULT_SAMPLING_BUDGET,
-        eval_backend: Optional[str] = None,
-        eval_workers: Optional[int] = None,
-        eval_hosts: "str | Sequence[str] | None" = None,
-        rpc_token: Optional[str] = None,
         table_cache: Optional[AnalysisTableCache] = None,
         warm_store: Optional[Any] = None,
         eval_config: Optional[EvalConfig] = None,
     ):
         if sampling_budget <= 0:
             raise OptimizationError(f"sampling_budget must be positive, got {sampling_budget}")
-        # All backend/worker/host validation lives in EvalConfig; the legacy
-        # kwargs build the identical config (and warn) via the shared shim.
-        self.eval_config = resolve_eval_config(
-            eval_config,
-            where="M3E",
-            eval_backend=eval_backend,
-            eval_workers=eval_workers,
-            eval_hosts=eval_hosts,
-            rpc_token=rpc_token,
-        )
+        # All backend/worker/host validation lives in EvalConfig.
+        self.eval_config = checked_eval_config(eval_config, "M3E")
         self.platform = platform
         self.objective = objective
         self.sampling_budget = sampling_budget
         self.warm_store = warm_store
         self._analyzer = JobAnalyzer(platform)
         self._table_cache = table_cache if table_cache is not None else AnalysisTableCache()
-
-    # Read-only views of the evaluation configuration, kept for the callers
-    # (service healthz, tests, user code) that grew up on the old kwargs.
-    @property
-    def eval_backend(self) -> str:
-        return self.eval_config.backend
-
-    @property
-    def eval_workers(self) -> Optional[int]:
-        return self.eval_config.workers
-
-    @property
-    def eval_hosts(self) -> "Sequence[str] | None":
-        return self.eval_config.hosts
-
-    @property
-    def rpc_token(self) -> Optional[str]:
-        return self.eval_config.rpc_token
 
     # ------------------------------------------------------------------
     def analyze(self, group: JobGroup) -> JobAnalysisTable:
@@ -264,7 +229,7 @@ class M3E:
         with tracer.span(
             "m3e.search",
             optimizer=algorithm.name,
-            backend=self.eval_backend,
+            backend=self.eval_config.backend,
             group_size=group.size,
             seed=resolved_seed,
         ):
@@ -317,12 +282,12 @@ class M3E:
 
         telemetry: Optional[Dict[str, Any]] = None
         if recorder is not None:
-            recorder.count(f"evals_{self.eval_backend}", float(evaluator.samples_used))
+            recorder.count(f"evals_{self.eval_config.backend}", float(evaluator.samples_used))
             recorder.count("generations", float(evaluator.generations))
             recorder.count("memo_hits", float(evaluator.memo_hits))
             recorder.count("memo_misses", float(evaluator.memo_misses))
             telemetry = recorder.to_dict()
-            telemetry["backend"] = self.eval_backend
+            telemetry["backend"] = self.eval_config.backend
         metadata = dict(algorithm.metadata)
         if seed_policy is not None:
             # Record the seed that governed this search so replays (service,

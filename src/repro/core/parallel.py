@@ -38,7 +38,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,7 +62,7 @@ MIN_ROWS_PER_WORKER = 8
 #: Height of one work-stealing chunk: the fixed unit of dispatch every
 #: distributed backend pulls from its shared queue.  Small enough that a slow
 #: worker strands at most one chunk's worth of latency, large enough that the
-#: per-chunk dispatch overhead stays amortised (see BENCH_dispatch.json).
+#: per-chunk dispatch overhead stays amortised (see BENCH_dispatch_overhead.json).
 DEFAULT_CHUNK_ROWS = 16
 
 #: Test seams for the fault-injection property tests (inherited by forked
@@ -72,38 +72,16 @@ _FAULT_DELAY_S: float = 0.0
 _FAULT_KILL_CHUNK_START: Optional[int] = None
 
 
-def split_shards(
-    rows: np.ndarray,
-    num_workers: int,
-    min_rows_per_worker: int = MIN_ROWS_PER_WORKER,
-) -> List[np.ndarray]:
-    """Split *rows* into deterministic contiguous shards, one per worker.
-
-    The static sharding policy (one contiguous ``np.array_split`` block per
-    worker, assigned up front): never more shards than workers, and never
-    shards so small that dispatch overhead exceeds the simulation cost
-    (populations below ``2 * min_rows_per_worker`` collapse to a single
-    shard).  An empty population yields no shards.  The distributed pools
-    now *dispatch* via work-stealing :func:`split_chunks`, but this remains
-    the reference partition the equivalence property tests compare against.
-    """
-    rows = np.asarray(rows)
-    if len(rows) == 0:
-        return []
-    num_shards = min(max(1, int(num_workers)), max(1, len(rows) // min_rows_per_worker))
-    return [shard for shard in np.array_split(rows, num_shards) if len(shard)]
-
-
 def split_chunks(num_rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> List[Tuple[int, int]]:
     """Fixed-size contiguous ``(start, stop)`` chunks — the work-stealing unit.
 
-    Unlike :func:`split_shards` (one contiguous block per worker, assigned
-    up front), chunks are *pulled* from a shared queue by whichever worker
-    goes idle first.  Each chunk writes its fitnesses at its own row offset,
-    so the gathered result is row-ordered no matter which worker computed
-    which chunk or in what order — and because every row's simulation is
-    independent (the batch kernel is elementwise per row), the values are
-    bit-identical for every chunk size and steal schedule.
+    Chunks are not assigned to workers up front: they are *pulled* from a
+    shared queue by whichever worker goes idle first.  Each chunk writes its
+    fitnesses at its own row offset, so the gathered result is row-ordered
+    no matter which worker computed which chunk or in what order — and
+    because every row's simulation is independent (the batch kernel is
+    elementwise per row), the values are bit-identical for every chunk size
+    and steal schedule.
     """
     if chunk_rows < 1:
         raise ConfigurationError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -111,20 +89,6 @@ def split_chunks(num_rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> List[Tu
         (start, min(start + chunk_rows, int(num_rows)))
         for start in range(0, int(num_rows), chunk_rows)
     ]
-
-
-def gather_rows(results: Sequence[np.ndarray]) -> np.ndarray:
-    """Reassemble per-shard fitness arrays into one row-ordered array.
-
-    The inverse of :func:`split_shards`: because shards are contiguous and
-    *results* arrive in shard order, concatenation restores the original row
-    order exactly — this is what keeps the sharded backends bit-identical to
-    the in-process ``batch`` sweep.
-    """
-    arrays = [np.asarray(result, dtype=float) for result in results]
-    if not arrays:
-        return np.empty(0, dtype=float)
-    return np.concatenate(arrays)
 
 
 def resolve_num_workers(num_workers: Optional[int]) -> int:
@@ -422,9 +386,10 @@ class ParallelEvaluationPool:
     The pool is created lazily on the first evaluation, reused across
     generations (workers keep their reconstructed rig for their lifetime),
     and shut down cleanly by :meth:`close` (also invoked on garbage
-    collection and by ``with`` blocks).  Sharding is deterministic:
-    ``np.array_split`` contiguous chunks in row order, one per worker, and
-    the gathered result preserves row order exactly.
+    collection and by ``with`` blocks).  Dispatch is work stealing: the
+    population is cut into contiguous row chunks (:meth:`_chunks`) that idle
+    workers pull from one queue, and each chunk's fitnesses land at its own
+    row offset, so the gathered result preserves row order exactly.
     """
 
     def __init__(
@@ -511,14 +476,14 @@ class ParallelEvaluationPool:
 
         The chunk height is :attr:`chunk_rows` capped at an even split of the
         population (never below :data:`MIN_ROWS_PER_WORKER`): a population
-        that used to fill every worker under static sharding still does under
-        work stealing, while large populations get several chunks per worker
-        for the queue to balance.
+        big enough to fill every worker gives each worker at least one chunk,
+        while large populations get several chunks per worker for the queue
+        to balance.
         """
         num_rows = int(num_rows)
         if num_rows < 2 * MIN_ROWS_PER_WORKER:
-            # Same collapse as static split_shards: a population this small
-            # is overhead-bound, one (inline) chunk beats any dispatch.
+            # A population this small is overhead-bound: one (inline)
+            # chunk beats any dispatch.
             return split_chunks(num_rows, max(1, num_rows))
         even = -(-num_rows // self.num_workers)  # ceil division
         height = min(self.chunk_rows, max(MIN_ROWS_PER_WORKER, even))

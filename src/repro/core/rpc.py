@@ -132,8 +132,6 @@ def is_loopback_host(host: str) -> bool:
     return host in ("localhost", "::1") or host.startswith("127.")
 
 
-_is_loopback = is_loopback_host
-
 
 def resolve_token(token: Optional[str]) -> str:
     """The shared secret: an explicit token, else ``$REPRO_RPC_TOKEN``, else ''."""
@@ -363,7 +361,7 @@ class EvalWorkerServer:
         token: Optional[str] = None,
     ):
         self.token = resolve_token(token)
-        if not self.token and not _is_loopback(host):
+        if not self.token and not is_loopback_host(host):
             # The post-auth protocol is pickle (code-execution-equivalent);
             # an empty token on a routable interface would hand every peer
             # that can reach the port an unauthenticated unpickle.

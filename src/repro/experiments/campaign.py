@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.accelerator import AcceleratorPlatform, build_setting
 from repro.core.analyzer import AnalysisTableCache, JobAnalysisTable, shared_table_cache
-from repro.core.evalconfig import EvalConfig, resolve_eval_config
+from repro.core.evalconfig import EvalConfig, checked_eval_config
 from repro.core.framework import M3E, SearchResult
 from repro.exceptions import ExperimentError
 from repro.experiments.scenarios import (
@@ -101,9 +101,7 @@ class CampaignRunner:
         Evaluation-engine configuration
         (:class:`~repro.core.evalconfig.EvalConfig`) threaded into every
         explorer the engine builds — one knob for every cell of every
-        scenario.
-    eval_backend / eval_workers / eval_hosts / rpc_token:
-        Deprecated spelling of ``eval_config`` (bit-identical, warns).
+        scenario.  ``None`` means the default config.
     table_cache:
         Analysis-table cache to share; defaults to the process-wide cache so
         independent runners in one process still dedup table builds.
@@ -117,46 +115,18 @@ class CampaignRunner:
     def __init__(
         self,
         scale: "ExperimentScale | str | None" = None,
-        eval_backend: Optional[str] = None,
-        eval_workers: Optional[int] = None,
-        eval_hosts: "str | Sequence[str] | None" = None,
-        rpc_token: Optional[str] = None,
         table_cache: Optional[AnalysisTableCache] = None,
         warm_store: Optional[Any] = None,
         eval_config: Optional[EvalConfig] = None,
     ):
         self.scale = scale if isinstance(scale, ExperimentScale) else get_scale(scale)
-        self.eval_config = resolve_eval_config(
-            eval_config,
-            where="CampaignRunner",
-            eval_backend=eval_backend,
-            eval_workers=eval_workers,
-            eval_hosts=eval_hosts,
-            rpc_token=rpc_token,
-        )
+        self.eval_config = checked_eval_config(eval_config, "CampaignRunner")
         self.table_cache = table_cache if table_cache is not None else shared_table_cache()
         self.warm_store = warm_store
         self._groups: Dict[Tuple[str, int, int, int], JobGroup] = {}  # guarded-by: _groups_lock
         # The mapping service drives one runner from several worker threads;
         # the group memo is the only mutable state they all write.
         self._groups_lock = threading.Lock()
-
-    # Read-only views kept for callers of the pre-EvalConfig attributes.
-    @property
-    def eval_backend(self) -> str:
-        return self.eval_config.backend
-
-    @property
-    def eval_workers(self) -> Optional[int]:
-        return self.eval_config.workers
-
-    @property
-    def eval_hosts(self) -> "Tuple[str, ...] | None":
-        return self.eval_config.hosts
-
-    @property
-    def rpc_token(self) -> Optional[str]:
-        return self.eval_config.rpc_token
 
     # ------------------------------------------------------------------
     # Building blocks (also used by custom scenario runners)

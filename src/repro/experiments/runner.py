@@ -30,7 +30,7 @@ from repro.analysis.gantt import schedule_to_bandwidth_series, schedule_to_gantt
 from repro.analysis.pca import project_encodings
 from repro.analysis.reporting import normalized_values_with_reference, normalized_with_reference
 from repro.core.analyzer import JobAnalyzer
-from repro.core.evalconfig import EvalConfig, resolve_eval_config
+from repro.core.evalconfig import EvalConfig
 from repro.core.framework import M3E, SearchResult
 from repro.exceptions import ExperimentError
 from repro.experiments.scenarios import (
@@ -102,10 +102,6 @@ def run_method_comparison(
     scale: Optional[ExperimentScale] = None,
     seed: int = 0,
     group: Optional[JobGroup] = None,
-    eval_backend: Optional[str] = None,
-    eval_workers: Optional[int] = None,
-    eval_hosts: "str | Sequence[str] | None" = None,
-    rpc_token: Optional[str] = None,
     eval_config: Optional[EvalConfig] = None,
 ) -> Dict[str, SearchResult]:
     """Run several mapping methods on one (setting, bandwidth, task) problem.
@@ -119,8 +115,6 @@ def run_method_comparison(
     to this direct loop.  ``eval_config``
     (:class:`~repro.core.evalconfig.EvalConfig`) selects the
     fitness-evaluation path; all backends produce bit-identical results.
-    The legacy ``eval_backend``/``eval_workers``/``eval_hosts``/``rpc_token``
-    keywords build the identical config but emit ``DeprecationWarning``.
     """
     scale = scale or get_scale()
     platform = build_setting(setting, bandwidth_gbps)
@@ -129,14 +123,7 @@ def run_method_comparison(
     explorer = M3E(
         platform,
         sampling_budget=scale.sampling_budget,
-        eval_config=resolve_eval_config(
-            eval_config,
-            where="run_method_comparison",
-            eval_backend=eval_backend,
-            eval_workers=eval_workers,
-            eval_hosts=eval_hosts,
-            rpc_token=rpc_token,
-        ),
+        eval_config=eval_config,
     )
     rngs = spawn_rngs(seed, len(methods))
     results: Dict[str, SearchResult] = {}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.exceptions import ExperimentError
 from repro.experiments.settings import ExperimentScale, get_scale
@@ -421,10 +421,6 @@ def run_scenario(
     scenario: "str | ScenarioSpec",
     scale: "ExperimentScale | str | None" = None,
     seed: int = 0,
-    eval_backend: Optional[str] = None,
-    eval_workers: Optional[int] = None,
-    eval_hosts: "str | Sequence[str] | None" = None,
-    rpc_token: Optional[str] = None,
     engine: Optional["CampaignRunner"] = None,
     options: Optional[Dict[str, Any]] = None,
     warm_store: Optional[Any] = None,
@@ -438,11 +434,8 @@ def run_scenario(
     is built from ``scale``/``eval_config``/``warm_store`` (the latter a
     persistent warm-start provider such as
     :class:`~repro.service.warmlib.WarmStartLibrary`, threaded into every
-    explorer the scenario builds).  The legacy
-    ``eval_backend``/``eval_workers``/``eval_hosts``/``rpc_token`` keywords
-    build the identical config but emit :class:`DeprecationWarning`.
+    explorer the scenario builds).
     """
-    from repro.core.evalconfig import resolve_eval_config
     from repro.experiments.campaign import CampaignRunner
 
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
@@ -450,14 +443,7 @@ def run_scenario(
         resolved = scale if isinstance(scale, ExperimentScale) else get_scale(scale)
         engine = CampaignRunner(
             scale=resolved,
-            eval_config=resolve_eval_config(
-                eval_config,
-                where="run_scenario",
-                eval_backend=eval_backend,
-                eval_workers=eval_workers,
-                eval_hosts=eval_hosts,
-                rpc_token=rpc_token,
-            ),
+            eval_config=eval_config,
             warm_store=warm_store,
         )
     context = ScenarioContext(spec=spec, engine=engine, base_seed=seed, options=dict(options or {}))

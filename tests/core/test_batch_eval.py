@@ -10,10 +10,15 @@ import pytest
 
 from repro.accelerator import build_setting
 from repro.core.bw_allocator import BandwidthAllocator, BatchBandwidthAllocator
-from repro.core.evaluator import EVAL_BACKENDS, MappingEvaluator
+from repro.core.evalconfig import EVAL_BACKENDS, EvalConfig
+from repro.core.evaluator import MappingEvaluator
 from repro.core.encoding import MappingCodec
 from repro.exceptions import ConfigurationError
 from repro.workloads import TaskType, build_task_workload
+
+
+SCALAR = EvalConfig(backend="scalar")
+BATCH = EvalConfig(backend="batch")
 
 
 def _problem(setting: str, bandwidth: float, group_size: int, seed: int = 0):
@@ -80,7 +85,7 @@ class TestBatchAllocator:
         event).  Stress heavily-contended (low-bandwidth) schedules, where
         near-tie completion events make the drain arithmetic most delicate."""
         platform, group = _problem("S5", 1.0, 24)
-        evaluator = MappingEvaluator(group, platform, backend="scalar")
+        evaluator = MappingEvaluator(group, platform, eval_config=SCALAR)
         rng = np.random.default_rng(9)
         for _ in range(50):
             encoding = evaluator.codec.random_encoding(rng)
@@ -102,9 +107,9 @@ class TestBackendEquivalence:
         """Property: fitnesses, history, and best encoding match bit for bit."""
         platform, group = _problem(setting, bandwidth, group_size)
         scalar = MappingEvaluator(group, platform, objective=objective,
-                                  sampling_budget=400, backend="scalar")
+                                  sampling_budget=400, eval_config=SCALAR)
         batch = MappingEvaluator(group, platform, objective=objective,
-                                 sampling_budget=400, backend="batch")
+                                 sampling_budget=400, eval_config=BATCH)
         rng = np.random.default_rng(11)
         for _ in range(4):
             population = scalar.codec.random_population(30, rng)
@@ -119,8 +124,8 @@ class TestBackendEquivalence:
     def test_equivalent_with_unrepaired_real_vectors(self):
         """Continuous optimizers feed raw real vectors; repair must agree."""
         platform, group = _problem("S2", 16.0, 10)
-        scalar = MappingEvaluator(group, platform, backend="scalar")
-        batch = MappingEvaluator(group, platform, backend="batch")
+        scalar = MappingEvaluator(group, platform, eval_config=SCALAR)
+        batch = MappingEvaluator(group, platform, eval_config=BATCH)
         rng = np.random.default_rng(5)
         population = rng.normal(scale=4.0, size=(40, scalar.codec.encoding_length))
         assert np.array_equal(
@@ -130,8 +135,8 @@ class TestBackendEquivalence:
 
     def test_budget_truncation_matches_scalar(self):
         platform, group = _problem("S2", 16.0, 10)
-        scalar = MappingEvaluator(group, platform, sampling_budget=7, backend="scalar")
-        batch = MappingEvaluator(group, platform, sampling_budget=7, backend="batch")
+        scalar = MappingEvaluator(group, platform, sampling_budget=7, eval_config=SCALAR)
+        batch = MappingEvaluator(group, platform, sampling_budget=7, eval_config=BATCH)
         population = scalar.codec.random_population(10, rng=0)
         fitness_scalar = scalar.evaluate_population(population)
         fitness_batch = batch.evaluate_population(population)
@@ -143,7 +148,7 @@ class TestBackendEquivalence:
     def test_duplicates_served_from_cache_still_charge_budget(self):
         """Memoization skips re-simulation but budget accounting is unchanged."""
         platform, group = _problem("S2", 16.0, 10)
-        evaluator = MappingEvaluator(group, platform, sampling_budget=100, backend="batch")
+        evaluator = MappingEvaluator(group, platform, sampling_budget=100, eval_config=BATCH)
         encoding = evaluator.codec.random_encoding(rng=0)
         population = np.tile(encoding, (6, 1))
         fitnesses = evaluator.evaluate_population(population)
@@ -158,7 +163,7 @@ class TestBackendEquivalence:
         platform, group = _problem("S2", 16.0, 12)
         results = {}
         for backend in EVAL_BACKENDS:
-            explorer = M3E(platform, sampling_budget=150, eval_backend=backend)
+            explorer = M3E(platform, sampling_budget=150, eval_config=EvalConfig(backend=backend))
             results[backend] = explorer.search(
                 group, optimizer="magma", seed=13,
                 optimizer_options={"population_size": 10},
@@ -173,7 +178,7 @@ class TestBackendEquivalence:
     def test_rejects_unknown_backend(self):
         platform, group = _problem("S1", 16.0, 8)
         with pytest.raises(ConfigurationError):
-            MappingEvaluator(group, platform, backend="gpu")
+            MappingEvaluator(group, platform, eval_config=EvalConfig(backend="gpu"))
 
 
 class TestOutOfDomainParity:
@@ -190,7 +195,8 @@ class TestOutOfDomainParity:
         platform, group = _problem("S2", 16.0, 10)
         return {
             backend: MappingEvaluator(
-                group, platform, sampling_budget=sampling_budget, backend=backend
+                group, platform, sampling_budget=sampling_budget,
+                eval_config=EvalConfig(backend=backend),
             )
             for backend in ("scalar", "batch")
         }
@@ -219,7 +225,9 @@ class TestOutOfDomainParity:
         """The recorded best encoding must reproduce the recorded fitness."""
         for backend in ("scalar", "batch"):
             platform, group = _problem("S2", 16.0, 10)
-            evaluator = MappingEvaluator(group, platform, sampling_budget=30, backend=backend)
+            evaluator = MappingEvaluator(
+                group, platform, sampling_budget=30, eval_config=EvalConfig(backend=backend)
+            )
             rng = np.random.default_rng(3)
             population = rng.normal(scale=4.0, size=(20, evaluator.codec.encoding_length))
             evaluator.evaluate_population(population)
@@ -264,7 +272,9 @@ class TestRecordSamplesAcrossBackends:
         platform, group = _problem("S2", 16.0, 10)
         evaluators = {}
         for backend in EVAL_BACKENDS:
-            evaluator = MappingEvaluator(group, platform, sampling_budget=100, backend=backend)
+            evaluator = MappingEvaluator(
+                group, platform, sampling_budget=100, eval_config=EvalConfig(backend=backend)
+            )
             evaluator.record_samples = True
             evaluators[backend] = evaluator
         rng = np.random.default_rng(17)

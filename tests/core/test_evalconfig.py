@@ -1,24 +1,26 @@
-"""Tests for the unified :class:`EvalConfig` and its deprecation shim.
+"""Tests for :class:`EvalConfig`, the one way to configure evaluation.
 
-The contract under test: every entry point accepts ``eval_config=``, the
-legacy ``eval_backend/eval_workers/eval_hosts/rpc_token`` kwargs still work
-but warn, mixing the two styles fails loudly, and — the acceptance bar —
-a search configured through the legacy kwargs is *bit-identical* to the
-same search configured through ``EvalConfig``.
+The contract under test: the config validates its field combinations once,
+at construction; every entry point accepts it as ``eval_config=`` (and
+rejects anything else); and none of them accepts a per-field evaluation
+keyword any more.
 """
 
 import warnings
 
 import pytest
 
+from repro.accelerator import build_setting
+from repro.cli import build_parser
 from repro.core import EvalConfig, M3E
-from repro.core.evalconfig import (
-    DEFAULT_EVAL_BACKEND,
-    EVAL_BACKENDS,
-    resolve_eval_config,
-)
+from repro.core.evalconfig import DEFAULT_EVAL_BACKEND, EVAL_BACKENDS
+from repro.core.evaluator import MappingEvaluator
 from repro.exceptions import ConfigurationError
 from repro.experiments.campaign import CampaignRunner
+from repro.experiments.runner import run_method_comparison
+from repro.experiments.scenarios import run_scenario
+from repro.service import MappingService
+from repro.workloads import TaskType
 
 
 class TestEvalConfigValidation:
@@ -66,100 +68,60 @@ class TestEvalConfigValidation:
     def test_token_stays_out_of_repr(self):
         assert "hunter2" not in repr(EvalConfig(backend="rpc", rpc_token="hunter2"))
 
-    def test_to_dict_round_trip(self):
-        config = EvalConfig(backend="rpc", hosts="h:1", rpc_token="t")
-        assert config.to_dict() == {
-            "backend": "rpc",
-            "workers": None,
-            "hosts": ["h:1"],
-            "rpc_token": "t",
-        }
-
-
-class TestResolveShim:
-    def test_eval_config_passes_through_untouched(self):
-        config = EvalConfig(backend="scalar")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_eval_config(config, where="here") is config
-
-    def test_legacy_kwargs_build_identical_config_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="here.*deprecated"):
-            resolved = resolve_eval_config(
-                None, where="here", eval_backend="parallel", eval_workers=2
-            )
-        assert resolved == EvalConfig(backend="parallel", workers=2)
-
-    def test_mixing_styles_fails_loudly(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            resolve_eval_config(
-                EvalConfig(), where="here", eval_backend="scalar"
-            )
-
-    def test_non_evalconfig_object_rejected(self):
-        with pytest.raises(ConfigurationError, match="must be an EvalConfig"):
-            resolve_eval_config({"backend": "batch"}, where="here")
-
-    def test_warn_on_filters_which_kwargs_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolved = resolve_eval_config(
-                None,
-                where="here",
-                eval_backend="scalar",
-                warn_on=("eval_hosts", "rpc_token"),
-            )
-        assert resolved.backend == "scalar"
-
-    def test_no_kwargs_is_silent_default(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_eval_config(None, where="here") == EvalConfig()
-
 
 class TestEntryPointsAcceptEvalConfig:
-    def test_m3e_legacy_kwargs_warn_and_match_eval_config(self, small_platform, mix_group):
-        new_style = M3E(
-            small_platform, sampling_budget=60, eval_config=EvalConfig(backend="scalar")
-        )
-        with pytest.warns(DeprecationWarning):
-            old_style = M3E(small_platform, sampling_budget=60, eval_backend="scalar")
-        assert new_style.eval_config == old_style.eval_config
-        # Acceptance: the two spellings produce bit-identical searches.
-        a = new_style.search(mix_group, seed=7)
-        b = old_style.search(mix_group, seed=7)
-        assert a.best_encoding.tolist() == b.best_encoding.tolist()
-        assert a.best_fitness == b.best_fitness
-        assert a.history == b.history
-        assert a.samples_used == b.samples_used
-
-    def test_m3e_exposes_legacy_read_only_views(self, small_platform):
-        engine = M3E(
-            small_platform,
-            eval_config=EvalConfig(backend="parallel", workers=2),
-        )
-        assert engine.eval_backend == "parallel"
-        assert engine.eval_workers == 2
-        assert engine.eval_hosts is None and engine.rpc_token is None
-
-    def test_m3e_rejects_mixed_styles(self, small_platform):
-        with pytest.raises(ConfigurationError, match="not both"):
-            M3E(
-                small_platform,
-                eval_config=EvalConfig(),
-                eval_backend="scalar",
-            )
-
     def test_campaign_runner_threads_eval_config_through(self):
         runner = CampaignRunner(eval_config=EvalConfig(backend="scalar"))
         assert runner.eval_config == EvalConfig(backend="scalar")
-        assert runner.eval_backend == "scalar"
-        with pytest.warns(DeprecationWarning):
-            legacy = CampaignRunner(eval_backend="scalar")
-        assert legacy.eval_config == runner.eval_config
 
     def test_campaign_runner_default_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             runner = CampaignRunner()
         assert runner.eval_config == EvalConfig()
+
+    @pytest.mark.parametrize("build", [
+        lambda platform, group, config: M3E(platform, eval_config=config),
+        lambda platform, group, config: CampaignRunner(eval_config=config),
+        lambda platform, group, config: MappingEvaluator(group, platform, eval_config=config),
+    ], ids=["M3E", "CampaignRunner", "MappingEvaluator"])
+    def test_non_evalconfig_object_rejected(self, build, small_platform, mix_group):
+        with pytest.raises(ConfigurationError, match="must be an EvalConfig"):
+            build(small_platform, mix_group, {"backend": "batch"})
+
+
+#: Evaluation keywords the entry points no longer take (each is a field of
+#: EvalConfig), with a value the old per-field spelling accepted.
+REMOVED_KEYWORDS = {"eval_backend": "batch", "eval_workers": 2, "eval_hosts": "a:1", "rpc_token": "t"}
+
+ENTRY_POINTS = {
+    "M3E": (lambda tmp_path, **kw: M3E(build_setting("S1", 16.0), **kw), REMOVED_KEYWORDS),
+    "CampaignRunner": (lambda tmp_path, **kw: CampaignRunner(**kw), REMOVED_KEYWORDS),
+    "MappingService": (
+        lambda tmp_path, **kw: MappingService(store=str(tmp_path / "s.jsonl"), scale="tiny", **kw),
+        REMOVED_KEYWORDS,
+    ),
+    "run_scenario": (lambda tmp_path, **kw: run_scenario("fig7", scale="tiny", **kw), REMOVED_KEYWORDS),
+    "run_method_comparison": (
+        lambda tmp_path, **kw: run_method_comparison("S1", 16.0, TaskType.MIX, methods=("random",), **kw),
+        REMOVED_KEYWORDS,
+    ),
+    "MappingEvaluator": (
+        lambda tmp_path, **kw: MappingEvaluator(None, None, **kw),
+        {"backend": "batch", "num_workers": 2, "eval_hosts": "a:1", "rpc_token": "t"},
+    ),
+}
+
+
+class TestOneConfigPath:
+    @pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+    def test_removed_eval_keywords_are_rejected(self, entry_point, tmp_path):
+        build, removed = ENTRY_POINTS[entry_point]
+        for keyword, value in removed.items():
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+                build(tmp_path, **{keyword: value})
+
+    def test_campaign_jobs_shorthand_is_gone(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["campaign", "fig8", "--jobs", "2"])
+        assert excinfo.value.code == 2

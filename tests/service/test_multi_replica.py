@@ -142,7 +142,7 @@ class TestStoreLifecycle:
                 warm_store=str(tmp_path / "warm.jsonl"),
                 scale=SCALE,
                 workers=1,
-                eval_backend="not-a-backend",
+                eval_config={"backend": "not-a-backend"},
             )
         assert len(closed) == 1  # the solution store the service had opened
 
@@ -151,21 +151,11 @@ class TestStoreLifecycle:
         try:
             with pytest.raises(ConfigurationError):
                 MappingService(
-                    store=store, scale=SCALE, workers=1, eval_backend="not-a-backend"
+                    store=store, scale=SCALE, workers=1, eval_config={"backend": "not-a-backend"}
                 )
             assert store.records() == []  # still open: ownership stayed put
         finally:
             store.close()
-
-    def test_mixed_eval_config_styles_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="not both"):
-            MappingService(
-                store=str(tmp_path / "db.jsonl"),
-                scale=SCALE,
-                workers=1,
-                eval_config=EvalConfig(),
-                eval_backend="scalar",
-            )
 
     def test_eval_config_accepted(self, tmp_path):
         with MappingService(

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.accelerator import build_setting
+from repro.core.evalconfig import EvalConfig
 from repro.core.framework import M3E
 from repro.exceptions import ConfigurationError
 from repro.optimizers import build_optimizer, list_optimizers
@@ -45,10 +46,10 @@ def _problem(group_size: int = 10):
 
 def _search(backend: str, seed, optimizer: str = "magma"):
     platform, group = _problem()
-    kwargs = {}
-    if backend == "parallel":
-        kwargs["eval_workers"] = 2
-    explorer = M3E(platform, sampling_budget=120, eval_backend=backend, **kwargs)
+    workers = 2 if backend == "parallel" else None
+    explorer = M3E(
+        platform, sampling_budget=120, eval_config=EvalConfig(backend=backend, workers=workers)
+    )
     return explorer.search(
         group,
         optimizer=optimizer,
